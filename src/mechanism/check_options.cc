@@ -19,35 +19,6 @@ std::uint64_t CheckOptions::ShardsFor(int threads, std::uint64_t grid_size) {
   return std::clamp<std::uint64_t>(grid_size, 1, want);
 }
 
-Result<int> ValidateThreads(std::int64_t threads) {
-  if (threads < 0) {
-    return Error{"thread count must be >= 0 (0 = one per hardware thread); got " +
-                 std::to_string(threads)};
-  }
-  if (threads > 4096) {
-    return Error{"thread count must be <= 4096; got " + std::to_string(threads)};
-  }
-  return static_cast<int>(threads);
-}
-
-Result<Deadline> ValidateDeadlineMillis(std::int64_t millis) {
-  if (millis <= 0) {
-    return Error{"deadline must be a positive millisecond count; got " +
-                 std::to_string(millis)};
-  }
-  return Deadline::AfterMillis(millis);
-}
-
-Result<int> ValidateRetries(std::int64_t retries) {
-  if (retries < 0) {
-    return Error{"retry bound must be >= 0; got " + std::to_string(retries)};
-  }
-  if (retries > 1000000) {
-    return Error{"retry bound must be <= 1000000; got " + std::to_string(retries)};
-  }
-  return static_cast<int>(retries);
-}
-
 std::string CheckStatusName(CheckStatus status) {
   switch (status) {
     case CheckStatus::kCompleted:

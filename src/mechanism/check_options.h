@@ -26,7 +26,6 @@
 
 #include "src/obs/obs.h"
 #include "src/util/deadline.h"
-#include "src/util/result.h"
 
 namespace secpol {
 
@@ -68,21 +67,6 @@ struct CheckOptions {
   // so an uneven shard cannot serialize the tail, capped by the grid itself.
   static std::uint64_t ShardsFor(int threads, std::uint64_t grid_size);
 };
-
-// Uniform validation of user-supplied evaluation knobs. Every entry point
-// that accepts them — CLI flags, batch manifests, service configs — funnels
-// through these helpers so the accepted ranges and the error text are
-// identical everywhere (the flag/field name is the caller's to prefix).
-
-// Worker thread count: >= 0, where 0 means one per hardware thread.
-Result<int> ValidateThreads(std::int64_t threads);
-
-// Deadline: a positive millisecond count, converted to a Deadline anchored
-// at the moment of validation.
-Result<Deadline> ValidateDeadlineMillis(std::int64_t millis);
-
-// Transient-fault retry bound: >= 0 extra attempts.
-Result<int> ValidateRetries(std::int64_t retries);
 
 // How a checker run ended.
 enum class CheckStatus {

@@ -23,26 +23,40 @@ int CountBlock(const std::vector<Stmt>& block) {
   return total;
 }
 
-int ExprNodesBlock(const std::vector<Stmt>& block);
-
-int ExprNodesStmt(const Stmt& stmt) {
-  int total = 0;
-  if (stmt.kind == Stmt::Kind::kAssign) {
-    total += stmt.expr.NodeCount();
-  }
-  if (stmt.kind == Stmt::Kind::kIf || stmt.kind == Stmt::Kind::kWhile) {
-    total += stmt.cond.NodeCount();
-  }
-  return total + ExprNodesBlock(stmt.then_body) + ExprNodesBlock(stmt.else_body) +
-         ExprNodesBlock(stmt.body);
-}
-
-int ExprNodesBlock(const std::vector<Stmt>& block) {
+// `measure` summed over every expression of `block`.
+template <typename Measure>
+int SumExprs(const std::vector<Stmt>& block, const Measure& measure) {
   int total = 0;
   for (const Stmt& stmt : block) {
-    total += ExprNodesStmt(stmt);
+    if (stmt.kind == Stmt::Kind::kAssign) {
+      total += measure(stmt.expr);
+    }
+    if (stmt.kind == Stmt::Kind::kIf || stmt.kind == Stmt::Kind::kWhile) {
+      total += measure(stmt.cond);
+    }
+    total += SumExprs(stmt.then_body, measure) + SumExprs(stmt.else_body, measure) +
+             SumExprs(stmt.body, measure);
   }
   return total;
+}
+
+int VariableLeaves(const Expr& expr) {
+  if (expr.num_operands() == 0) {
+    return expr.kind() == Expr::Kind::kConst ? 0 : 1;
+  }
+  int total = 0;
+  for (int i = 0; i < expr.num_operands(); ++i) {
+    total += VariableLeaves(expr.operand(i));
+  }
+  return total;
+}
+
+// What every applicable edit strictly lowers, compared in order: the size,
+// then the variable leaves. The second term is for the zeroing edits, which
+// turn `x = v;` into `x = 0;` (and `if (v)` into `if (0)`) at equal size.
+[[maybe_unused]] std::pair<int, int> Progress(const SourceProgram& program) {
+  return {ProgramSize(program),
+          SumExprs(program.body, [](const Expr& expr) { return VariableLeaves(expr); })};
 }
 
 // The structure-aware edits, addressed by the DFS pre-order index of the
@@ -62,7 +76,7 @@ constexpr EditKind kAllEdits[] = {
     EditKind::kCondZero,  EditKind::kExprChild0, EditKind::kExprChild1,
 };
 
-// Whether `edit` applies to `stmt` at all (and would strictly shrink it).
+// Whether `edit` applies to `stmt` at all (and would strictly lower Progress).
 bool EditApplies(const Stmt& stmt, EditKind edit) {
   switch (edit) {
     case EditKind::kErase:
@@ -159,7 +173,8 @@ std::optional<SourceProgram> MakeCandidate(const SourceProgram& program, int tar
 int CountStmts(const SourceProgram& program) { return CountBlock(program.body); }
 
 int ProgramSize(const SourceProgram& program) {
-  return CountBlock(program.body) + ExprNodesBlock(program.body);
+  return CountBlock(program.body) +
+         SumExprs(program.body, [](const Expr& expr) { return expr.NodeCount(); });
 }
 
 SourceProgram MinimizeWitness(const SourceProgram& program, const WitnessPredicate& predicate,
@@ -182,9 +197,9 @@ SourceProgram MinimizeWitness(const SourceProgram& program, const WitnessPredica
         if (!candidate.has_value()) {
           continue;
         }
-        // Every applicable edit strictly shrinks, so acceptance always makes
-        // progress and the outer fixpoint terminates.
-        assert(ProgramSize(*candidate) < ProgramSize(best));
+        // Every applicable edit strictly lowers Progress, so acceptance always
+        // makes progress and the outer fixpoint terminates.
+        assert(Progress(*candidate) < Progress(best));
         ++local.candidates_tried;
         if (predicate(*candidate)) {
           ++local.candidates_accepted;

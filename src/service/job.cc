@@ -17,6 +17,7 @@
 #include "src/mechanism/policy_compare.h"
 #include "src/mechanism/soundness.h"
 #include "src/service/audit.h"
+#include "src/service/manifest.h"
 #include "src/staticflow/static_mechanisms.h"
 #include "src/surveillance/compiled.h"
 #include "src/surveillance/surveillance.h"
@@ -25,7 +26,7 @@ namespace secpol {
 
 namespace {
 
-// Exit-code vocabulary shared with `secpol check` (PR 2): 0 clean verdict,
+// Exit-code vocabulary shared with `secpol check`: 0 clean verdict,
 // 2 failed verdict / genuine witness, 3 deadline without witness, 4 aborted.
 int ExitForProgress(const CheckProgress& progress, bool clean_verdict, bool witness) {
   switch (progress.status) {
@@ -326,30 +327,11 @@ Result<PreparedJob> PrepareJob(const CheckJobSpec& spec) {
       !spec.allow2.SubsetOf(inputs)) {
     return Error{"allow2: index out of range for " + std::to_string(num_inputs) + " inputs"};
   }
-  if (spec.grid_lo > spec.grid_hi) {
-    return Error{"grid: lo " + std::to_string(spec.grid_lo) + " exceeds hi " +
-                 std::to_string(spec.grid_hi)};
-  }
-  const Result<int> threads = ValidateThreads(spec.num_threads);
-  if (!threads.ok()) {
-    return Error{"threads: " + threads.error().message};
-  }
-  if (spec.deadline_ms < 0) {
-    return Error{"deadline_ms: must be >= 0 (0 = unbounded); got " +
-                 std::to_string(spec.deadline_ms)};
-  }
-  if (spec.retries >= 0) {
-    const Result<int> retries = ValidateRetries(spec.retries);
-    if (!retries.ok()) {
-      return Error{"retries: " + retries.error().message};
-    }
-  }
-  if (spec.sweep_mode != "point" && spec.sweep_mode != "class") {
-    return Error{"sweep_mode: must be 'point' or 'class'; got '" + spec.sweep_mode + "'"};
-  }
-  if (spec.exec_mode != "interpreted" && spec.exec_mode != "compiled") {
-    return Error{"exec_mode: must be 'interpreted' or 'compiled'; got '" + spec.exec_mode +
-                 "'"};
+  // Ranges and word lists come from the job-field table, which manifests,
+  // wire frames and CLI flags are checked against too.
+  const Result<bool> fields = ValidateJobFields(spec);
+  if (!fields.ok()) {
+    return fields.error();
   }
   std::string mech_error;
   if (MakeMechanismKind(spec.mechanism, program, spec.allow, spec.exec_mode, &mech_error) ==
@@ -361,12 +343,6 @@ Result<PreparedJob> PrepareJob(const CheckJobSpec& spec) {
     if (MakeMechanismKind(spec.mechanism2, program, spec.allow, spec.exec_mode, &mech_error) ==
         nullptr) {
       return Error{"mechanism2: " + mech_error};
-    }
-  }
-  if (!spec.fault_spec.empty()) {
-    Result<std::vector<FaultSpec>> faults = ParseFaultSpecs(spec.fault_spec);
-    if (!faults.ok()) {
-      return Error{"fault_spec: " + faults.error().ToString()};
     }
   }
   InputDomain domain = InputDomain::Range(num_inputs, spec.grid_lo, spec.grid_hi);

@@ -1,9 +1,16 @@
 #include "src/service/manifest.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+
+#include "src/mechanism/fault.h"
 
 namespace secpol {
 
@@ -48,161 +55,330 @@ Result<std::string> StringField(const Json& object, const std::string& key,
   return field->AsString();
 }
 
-Result<VarSet> VarSetField(const Json& object, const std::string& key,
-                           const std::string& where, VarSet fallback) {
-  const Json* field = object.Find(key);
-  if (field == nullptr) {
-    return fallback;
+const CheckJobSpec& DefaultSpec() {
+  static const CheckJobSpec spec;
+  return spec;
+}
+
+// Row accessors, one get/set pair per member type.
+template <auto member>
+Json GetText(const CheckJobSpec& spec) {
+  return Json::MakeString(spec.*member);
+}
+template <auto member>
+void SetText(const Json& value, CheckJobSpec* spec) {
+  spec->*member = value.AsString();
+}
+template <auto member>
+Json GetInt(const CheckJobSpec& spec) {
+  return Json::MakeInt(spec.*member);
+}
+template <auto member>
+void SetInt(const Json& value, CheckJobSpec* spec) {
+  spec->*member = static_cast<std::remove_reference_t<decltype(spec->*member)>>(value.AsInt());
+}
+template <auto member>
+Json GetBool(const CheckJobSpec& spec) {
+  return Json::MakeBool(spec.*member);
+}
+template <auto member>
+void SetBool(const Json& value, CheckJobSpec* spec) {
+  spec->*member = value.AsBool();
+}
+template <auto member>
+Json GetInputs(const CheckJobSpec& spec) {
+  Json array = Json::MakeArray();
+  (spec.*member).ForEachIndex([&array](int index) { array.Append(Json::MakeInt(index)); });
+  return array;
+}
+template <auto member>
+void SetInputs(const Json& value, CheckJobSpec* spec) {
+  VarSet set;
+  for (const Json& index : value.Items()) {
+    set.Insert(static_cast<int>(index.AsInt()));
   }
-  if (!field->is_array()) {
-    return Error{where + "." + key + ": expected an array of input indices"};
+  spec->*member = set;
+}
+Json GetGrid(const CheckJobSpec& spec) {
+  Json grid = Json::MakeObject();
+  grid.Set("lo", Json::MakeInt(spec.grid_lo));
+  grid.Set("hi", Json::MakeInt(spec.grid_hi));
+  return grid;
+}
+// A manifest may give one bound alone; the other keeps its current value.
+void SetGrid(const Json& value, CheckJobSpec* spec) {
+  if (const Json* lo = value.Find("lo"); lo != nullptr) {
+    spec->grid_lo = lo->AsInt();
   }
-  VarSet out;
-  for (const Json& item : field->Items()) {
-    if (!item.is_int() || item.AsInt() < 0 || item.AsInt() > VarSet::kMaxIndex) {
-      return Error{where + "." + key + ": indices must be integers in [0, " +
-                   std::to_string(VarSet::kMaxIndex) + "]"};
+  if (const Json* hi = value.Find("hi"); hi != nullptr) {
+    spec->grid_hi = hi->AsInt();
+  }
+}
+Json GetChecker(const CheckJobSpec& spec) {
+  return Json::MakeString(CheckerKindName(spec.checker));
+}
+void SetChecker(const Json& value, CheckJobSpec* spec) {
+  spec->checker = *ParseCheckerKind(value.AsString());
+}
+
+std::vector<std::string> CheckerNames() {
+  std::vector<std::string> names;
+  for (int kind = 0; kind <= static_cast<int>(CheckerKind::kAudit); ++kind) {
+    names.push_back(CheckerKindName(static_cast<CheckerKind>(kind)));
+  }
+  return names;
+}
+
+const JobField* FindJobKey(const std::string& key) {
+  for (const JobField& field : JobFields()) {
+    if (key == field.key) {
+      return &field;
     }
-    out.Insert(static_cast<int>(item.AsInt()));
   }
-  return out;
+  return nullptr;
+}
+
+// Why `value` cannot be stored in `field`, or nullopt when it can. This is
+// the one place the table's types, ranges and word lists are checked. `cli`
+// phrases the accepted form as the flag's text, which cannot name a default
+// outside [min, max]: the CLI leaves the flag out instead.
+std::optional<std::string> Reject(const JobField& field, const Json& value, bool cli) {
+  switch (field.type) {
+    case JobFieldType::kText:
+    case JobFieldType::kFile:
+      return value.is_string() ? std::nullopt : std::optional<std::string>("expected a string");
+    case JobFieldType::kWord: {
+      if (value.is_string() &&
+          std::find(field.words.begin(), field.words.end(), value.AsString()) !=
+              field.words.end()) {
+        return std::nullopt;
+      }
+      std::string expected = "expected ";
+      for (std::size_t i = 0; i < field.words.size(); ++i) {
+        expected += (i == 0 ? "" : i + 1 == field.words.size() ? " or " : ", ") + field.words[i];
+      }
+      if (cli || !value.is_string()) {
+        return expected;
+      }
+      return "unknown " + std::string(field.key) + " '" + value.AsString() + "' (" + expected +
+             ")";
+    }
+    case JobFieldType::kInt: {
+      if (value.is_int() && value.AsInt() >= field.min && value.AsInt() <= field.max) {
+        return std::nullopt;
+      }
+      const std::int64_t unset = field.get(DefaultSpec()).AsInt();
+      if (!cli && field.unset != nullptr && value.is_int() && value.AsInt() == unset) {
+        return std::nullopt;
+      }
+      std::string expected = "expected an integer in [" + std::to_string(field.min) + ", " +
+                             std::to_string(field.max) + "]";
+      if (!cli && field.unset != nullptr) {
+        expected += ", or " + std::to_string(unset) + " for " + field.unset;
+      }
+      return expected;
+    }
+    case JobFieldType::kBool:
+      if (value.is_bool()) {
+        return std::nullopt;
+      }
+      return cli ? "takes no value" : "expected a boolean";
+    case JobFieldType::kInputSet: {
+      const auto in_range = [](const Json& index) {
+        return index.is_int() && index.AsInt() >= 0 && index.AsInt() <= VarSet::kMaxIndex;
+      };
+      if (value.is_array() && std::all_of(value.Items().begin(), value.Items().end(), in_range)) {
+        return std::nullopt;
+      }
+      return std::string(cli ? "expected comma-separated input indices"
+                             : "expected an array of input indices") +
+             " in [0, " + std::to_string(VarSet::kMaxIndex) + "]";
+    }
+    case JobFieldType::kGrid: {
+      const auto is_bound = [](const auto& member) {
+        return (member.first == "lo" || member.first == "hi") && member.second.is_int();
+      };
+      if (!value.is_object() ||
+          !std::all_of(value.Members().begin(), value.Members().end(), is_bound)) {
+        return cli ? "expected lo:hi" : "expected an object {\"lo\": L, \"hi\": H}";
+      }
+      // A bound given alone is checked against the other once PrepareJob
+      // sees the whole spec.
+      const Json* lo = value.Find("lo");
+      const Json* hi = value.Find("hi");
+      if (lo != nullptr && hi != nullptr && lo->AsInt() > hi->AsInt()) {
+        return "lo " + std::to_string(lo->AsInt()) + " exceeds hi " + std::to_string(hi->AsInt());
+      }
+      return std::nullopt;
+    }
+    case JobFieldType::kFaultSpec: {
+      if (!value.is_string()) {
+        return "expected a string";
+      }
+      if (value.AsString().empty()) {
+        return std::nullopt;
+      }
+      const Result<std::vector<FaultSpec>> faults = ParseFaultSpecs(value.AsString());
+      return faults.ok() ? std::nullopt : std::optional<std::string>(faults.error().ToString());
+    }
+  }
+  return "unknown field type";
+}
+
+// The JSON value a CLI flag's text spells. Text that does not parse as the
+// field's type stays a string, which Reject then refuses.
+Json IntJson(std::string_view text) {
+  std::int64_t value = 0;
+  const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || error != std::errc() || end != text.data() + text.size()) {
+    return Json::MakeString(std::string(text));
+  }
+  return Json::MakeInt(value);
+}
+
+Json FlagJson(const JobField& field, const std::string& text) {
+  switch (field.type) {
+    case JobFieldType::kInt:
+      return IntJson(text);
+    case JobFieldType::kBool:
+      return text.empty() ? Json::MakeBool(true) : Json::MakeString(text);
+    case JobFieldType::kInputSet: {
+      Json indices = Json::MakeArray();
+      for (std::size_t start = 0; !text.empty() && start <= text.size();) {
+        const std::size_t comma = std::min(text.find(',', start), text.size());
+        indices.Append(IntJson(std::string_view(text).substr(start, comma - start)));
+        start = comma + 1;
+      }
+      return indices;
+    }
+    case JobFieldType::kGrid: {
+      const std::size_t colon = text.find(':');
+      if (colon == std::string::npos) {
+        return Json::MakeString(text);
+      }
+      Json grid = Json::MakeObject();
+      grid.Set("lo", IntJson(std::string_view(text).substr(0, colon)));
+      grid.Set("hi", IntJson(std::string_view(text).substr(colon + 1)));
+      return grid;
+    }
+    default:
+      return Json::MakeString(text);
+  }
 }
 
 }  // namespace
 
-// Applies one job object's fields over `spec` (used for "defaults", each
-// entry of "jobs", and serve-daemon submit frames).
+const std::vector<JobField>& JobFields() {
+  using S = CheckJobSpec;
+  using T = JobFieldType;
+  // "mechanism" and "mechanism2" stay free text here: MakeMechanismKind,
+  // which PrepareJob calls, owns that vocabulary.
+  static const std::vector<JobField> fields = {
+      {.key = "id", .get = GetText<&S::id>, .set = SetText<&S::id>, .omit_default = true},
+      {.key = "checker", .type = T::kWord, .get = GetChecker, .set = SetChecker,
+       .words = CheckerNames()},
+      {.key = "program", .get = GetText<&S::program_text>, .set = SetText<&S::program_text>},
+      {.key = "program_file", .type = T::kFile, .set = SetText<&S::program_text>,
+       .local_only = true},
+      {.key = "allow", .flag = "allow", .type = T::kInputSet, .get = GetInputs<&S::allow>,
+       .set = SetInputs<&S::allow>},
+      {.key = "allow2", .flag = "allow2", .type = T::kInputSet, .get = GetInputs<&S::allow2>,
+       .set = SetInputs<&S::allow2>},
+      {.key = "mechanism", .flag = "mechanism", .get = GetText<&S::mechanism>,
+       .set = SetText<&S::mechanism>},
+      {.key = "mechanism2", .flag = "mechanism2", .get = GetText<&S::mechanism2>,
+       .set = SetText<&S::mechanism2>},
+      {.key = "grid", .flag = "grid", .type = T::kGrid, .get = GetGrid, .set = SetGrid},
+      {.key = "observe_time", .flag = "time", .type = T::kBool,
+       .get = GetBool<&S::observe_time>, .set = SetBool<&S::observe_time>},
+      // 0 = one worker per hardware thread.
+      {.key = "threads", .flag = "threads", .type = T::kInt, .get = GetInt<&S::num_threads>,
+       .set = SetInt<&S::num_threads>, .min = 0, .max = 4096},
+      // The bound keeps the steady-clock deadline (in nanoseconds) from
+      // overflowing; 2^40 ms is about 35 years.
+      {.key = "deadline_ms", .flag = "deadline-ms", .type = T::kInt,
+       .get = GetInt<&S::deadline_ms>, .set = SetInt<&S::deadline_ms>, .min = 1,
+       .max = std::int64_t{1} << 40, .unset = "unbounded"},
+      {.key = "priority", .type = T::kInt, .get = GetInt<&S::priority>,
+       .set = SetInt<&S::priority>, .min = std::numeric_limits<int>::min(),
+       .max = std::numeric_limits<int>::max()},
+      {.key = "fault_spec", .flag = "fault-spec", .type = T::kFaultSpec,
+       .get = GetText<&S::fault_spec>, .set = SetText<&S::fault_spec>},
+      {.key = "retries", .flag = "retries", .type = T::kInt, .get = GetInt<&S::retries>,
+       .set = SetInt<&S::retries>, .min = 0, .max = 1000000, .unset = "no retry wrapper"},
+      {.key = "sweep_mode", .flag = "sweep-mode", .type = T::kWord,
+       .get = GetText<&S::sweep_mode>, .set = SetText<&S::sweep_mode>,
+       .words = {"point", "class"}, .omit_default = true},
+      {.key = "exec_mode", .flag = "exec-mode", .type = T::kWord,
+       .get = GetText<&S::exec_mode>, .set = SetText<&S::exec_mode>,
+       .words = {"interpreted", "compiled"}, .omit_default = true},
+  };
+  return fields;
+}
+
+Result<bool> ApplyJobFlag(const JobField& field, const std::string& text, CheckJobSpec* spec) {
+  const Json value = FlagJson(field, text);
+  if (const std::optional<std::string> reason = Reject(field, value, /*cli=*/true)) {
+    return Error{"bad --" + std::string(field.flag) + " value '" + text + "' (" + *reason + ")"};
+  }
+  field.set(value, spec);
+  return true;
+}
+
+Result<bool> ValidateJobFields(const CheckJobSpec& spec) {
+  for (const JobField& field : JobFields()) {
+    // Free text, input sets and booleans hold any value the spec can.
+    if (field.type == JobFieldType::kText || field.type == JobFieldType::kInputSet ||
+        field.type == JobFieldType::kBool || field.get == nullptr) {
+      continue;
+    }
+    if (const std::optional<std::string> reason = Reject(field, field.get(spec), false)) {
+      return Error{std::string(field.key) + ": " + *reason};
+    }
+  }
+  return true;
+}
+
 Result<bool> ApplyManifestJobFields(const Json& object, const std::string& where,
                                     CheckJobSpec* spec, JobFieldSource source) {
-  static const char* const kKnownKeys[] = {
-      "id",        "checker",    "program",  "program_file", "allow",
-      "allow2",    "mechanism",  "mechanism2", "grid",       "observe_time",
-      "threads",   "deadline_ms", "priority", "fault_spec",  "retries",
-      "sweep_mode", "exec_mode",
-  };
   for (const auto& [key, value] : object.Members()) {
-    bool known = false;
-    for (const char* candidate : kKnownKeys) {
-      if (key == candidate) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    if (FindJobKey(key) == nullptr) {
       return Error{where + ": unknown key '" + key + "'"};
     }
   }
-
-  Result<std::string> id = StringField(object, "id", where, spec->id);
-  if (!id.ok()) return id.error();
-  spec->id = std::move(id).value();
-
-  Result<std::string> checker = StringField(object, "checker", where,
-                                            CheckerKindName(spec->checker));
-  if (!checker.ok()) return checker.error();
-  const std::optional<CheckerKind> kind = ParseCheckerKind(checker.value());
-  if (!kind.has_value()) {
-    return Error{where + ".checker: unknown checker '" + checker.value() + "'"};
-  }
-  spec->checker = *kind;
-
-  Result<std::string> program = StringField(object, "program", where, spec->program_text);
-  if (!program.ok()) return program.error();
-  spec->program_text = std::move(program).value();
-
-  // "program_file" opens a path with this process's privileges. For a local
-  // manifest that is the operator reading their own files; for a socket
-  // submission it would let any client read (or probe for) files on the
-  // daemon host, so the key is refused before its value is even looked at.
-  if (source == JobFieldSource::kUntrustedSubmission &&
-      object.Find("program_file") != nullptr) {
-    return Error{where +
-                 ".program_file: server-side file loading is not available for "
-                 "socket submissions; inline the source via 'program'"};
-  }
-
-  Result<std::string> program_file = StringField(object, "program_file", where, "");
-  if (!program_file.ok()) return program_file.error();
-  if (!program_file.value().empty()) {
-    std::ifstream stream(program_file.value());
-    if (!stream) {
-      return Error{where + ".program_file: cannot open '" + program_file.value() + "'"};
+  // Table order, not the object's: "program_file" overrides "program".
+  for (const JobField& field : JobFields()) {
+    const Json* value = object.Find(field.key);
+    if (value == nullptr) {
+      continue;
     }
-    std::stringstream buffer;
-    buffer << stream.rdbuf();
-    spec->program_text = buffer.str();
-  }
-
-  Result<VarSet> allow = VarSetField(object, "allow", where, spec->allow);
-  if (!allow.ok()) return allow.error();
-  spec->allow = allow.value();
-
-  Result<VarSet> allow2 = VarSetField(object, "allow2", where, spec->allow2);
-  if (!allow2.ok()) return allow2.error();
-  spec->allow2 = allow2.value();
-
-  Result<std::string> mechanism = StringField(object, "mechanism", where, spec->mechanism);
-  if (!mechanism.ok()) return mechanism.error();
-  spec->mechanism = std::move(mechanism).value();
-
-  Result<std::string> mechanism2 = StringField(object, "mechanism2", where, spec->mechanism2);
-  if (!mechanism2.ok()) return mechanism2.error();
-  spec->mechanism2 = std::move(mechanism2).value();
-
-  if (const Json* grid = object.Find("grid"); grid != nullptr) {
-    if (!grid->is_object()) {
-      return Error{where + ".grid: expected an object {\"lo\": ..., \"hi\": ...}"};
+    const auto fail = [&](const std::string& why) {
+      return Error{where + "." + field.key + ": " + why};
+    };
+    // "program_file" opens a path with this process's privileges. For a local
+    // manifest that is the operator reading their own files; for a socket
+    // submission it would let any client read (or probe for) files on the
+    // daemon host, so the key is refused before its value is even looked at.
+    if (field.local_only && source == JobFieldSource::kUntrustedSubmission) {
+      return fail(
+          "server-side file loading is not available for socket submissions; inline the "
+          "source via 'program'");
     }
-    Result<std::int64_t> lo = IntField(*grid, "lo", where + ".grid", spec->grid_lo);
-    if (!lo.ok()) return lo.error();
-    Result<std::int64_t> hi = IntField(*grid, "hi", where + ".grid", spec->grid_hi);
-    if (!hi.ok()) return hi.error();
-    spec->grid_lo = lo.value();
-    spec->grid_hi = hi.value();
+    if (const std::optional<std::string> reason = Reject(field, *value, /*cli=*/false)) {
+      return fail(*reason);
+    }
+    if (field.type != JobFieldType::kFile) {
+      field.set(*value, spec);
+    } else if (!value->AsString().empty()) {
+      std::ifstream stream(value->AsString());
+      if (!stream) {
+        return fail("cannot open '" + value->AsString() + "'");
+      }
+      std::stringstream buffer;
+      buffer << stream.rdbuf();
+      field.set(Json::MakeString(buffer.str()), spec);
+    }
   }
-
-  Result<bool> observe_time = BoolField(object, "observe_time", where, spec->observe_time);
-  if (!observe_time.ok()) return observe_time.error();
-  spec->observe_time = observe_time.value();
-
-  Result<std::int64_t> threads = IntField(object, "threads", where, spec->num_threads);
-  if (!threads.ok()) return threads.error();
-  spec->num_threads = static_cast<int>(threads.value());
-
-  Result<std::int64_t> deadline = IntField(object, "deadline_ms", where, spec->deadline_ms);
-  if (!deadline.ok()) return deadline.error();
-  spec->deadline_ms = deadline.value();
-
-  Result<std::int64_t> priority = IntField(object, "priority", where, spec->priority);
-  if (!priority.ok()) return priority.error();
-  spec->priority = static_cast<int>(priority.value());
-
-  Result<std::string> fault_spec = StringField(object, "fault_spec", where, spec->fault_spec);
-  if (!fault_spec.ok()) return fault_spec.error();
-  spec->fault_spec = std::move(fault_spec).value();
-
-  Result<std::int64_t> retries = IntField(object, "retries", where, spec->retries);
-  if (!retries.ok()) return retries.error();
-  spec->retries = static_cast<int>(retries.value());
-
-  // Vocabulary errors surface here with the manifest-grade message; PrepareJob
-  // re-validates for specs built programmatically.
-  Result<std::string> sweep_mode = StringField(object, "sweep_mode", where, spec->sweep_mode);
-  if (!sweep_mode.ok()) return sweep_mode.error();
-  if (sweep_mode.value() != "point" && sweep_mode.value() != "class") {
-    return Error{where + ".sweep_mode: expected 'point' or 'class'; got '" +
-                 sweep_mode.value() + "'"};
-  }
-  spec->sweep_mode = std::move(sweep_mode).value();
-
-  Result<std::string> exec_mode = StringField(object, "exec_mode", where, spec->exec_mode);
-  if (!exec_mode.ok()) return exec_mode.error();
-  if (exec_mode.value() != "interpreted" && exec_mode.value() != "compiled") {
-    return Error{where + ".exec_mode: expected 'interpreted' or 'compiled'; got '" +
-                 exec_mode.value() + "'"};
-  }
-  spec->exec_mode = std::move(exec_mode).value();
-
   return true;
 }
 
@@ -323,38 +499,18 @@ Json JobResultToJson(const JobResult& job) {
 
 Json CheckJobSpecToJson(const CheckJobSpec& spec) {
   Json object = Json::MakeObject();
-  if (!spec.id.empty()) {
-    object.Set("id", Json::MakeString(spec.id));
-  }
-  object.Set("checker", Json::MakeString(CheckerKindName(spec.checker)));
-  object.Set("program", Json::MakeString(spec.program_text));
-  const auto var_set_array = [](const VarSet& set) {
-    Json array = Json::MakeArray();
-    set.ForEachIndex([&array](int index) { array.Append(Json::MakeInt(index)); });
-    return array;
-  };
-  object.Set("allow", var_set_array(spec.allow));
-  object.Set("allow2", var_set_array(spec.allow2));
-  object.Set("mechanism", Json::MakeString(spec.mechanism));
-  object.Set("mechanism2", Json::MakeString(spec.mechanism2));
-  Json grid = Json::MakeObject();
-  grid.Set("lo", Json::MakeInt(spec.grid_lo));
-  grid.Set("hi", Json::MakeInt(spec.grid_hi));
-  object.Set("grid", std::move(grid));
-  object.Set("observe_time", Json::MakeBool(spec.observe_time));
-  object.Set("threads", Json::MakeInt(spec.num_threads));
-  object.Set("deadline_ms", Json::MakeInt(spec.deadline_ms));
-  object.Set("priority", Json::MakeInt(spec.priority));
-  object.Set("fault_spec", Json::MakeString(spec.fault_spec));
-  object.Set("retries", Json::MakeInt(spec.retries));
-  // Emitted only when non-default, so point-mode spec renderings (and every
-  // golden fixture that predates sweep modes) keep their exact bytes. The
-  // round-trip still holds: an absent key leaves the default "point".
-  if (spec.sweep_mode != "point") {
-    object.Set("sweep_mode", Json::MakeString(spec.sweep_mode));
-  }
-  if (spec.exec_mode != "interpreted") {
-    object.Set("exec_mode", Json::MakeString(spec.exec_mode));
+  for (const JobField& field : JobFields()) {
+    if (field.get == nullptr) {
+      continue;  // program_file is read at parse time, never rendered
+    }
+    Json value = field.get(spec);
+    // Fields added after the first manifests are left out at their defaults,
+    // so renderings (and golden fixtures) that predate them keep their bytes.
+    // The round-trip still holds: an absent key leaves the default.
+    if (field.omit_default && value.Serialize() == field.get(DefaultSpec()).Serialize()) {
+      continue;
+    }
+    object.Set(field.key, std::move(value));
   }
   return object;
 }

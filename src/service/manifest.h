@@ -14,7 +14,7 @@
 //       {
 //         "id": "logon-soundness",      // optional label
 //         "checker": "soundness",       // soundness|integrity|completeness|
-//                                       //   maximal|policy-compare|leak
+//                                       //   maximal|policy-compare|leak|audit
 //         "program": "program p(a,b) { y = a; }",   // flowlang source, or
 //         "program_file": "path/to/p.fl",           // read at parse time
 //         "allow": [0],                 // released input coordinates
@@ -26,18 +26,21 @@
 //         "observe_time": false,
 //         "threads": 1, "deadline_ms": 0, "priority": 0,
 //         "fault_spec": "", "retries": -1,
-//         "sweep_mode": "point"         // point|class (DESIGN.md §14)
+//         "sweep_mode": "point",        // point|class (DESIGN.md §14)
+//         "exec_mode": "interpreted"    // interpreted|compiled (DESIGN.md §15)
 //       }
 //     ]
 //   }
 //
 // Parsing is strict: unknown keys, wrong types, and out-of-range values are
 // errors naming the offending job and field, so a typo cannot silently
-// select a default.
+// select a default. The job keys, their types, ranges and defaults are the
+// rows of JobFields() below, which the CLI's job flags read too.
 
 #ifndef SECPOL_SRC_SERVICE_MANIFEST_H_
 #define SECPOL_SRC_SERVICE_MANIFEST_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -61,6 +64,49 @@ Result<BatchManifest> ParseBatchManifest(const std::string& text);
 // boundary and must never be able to read the daemon's filesystem, so the
 // key itself is rejected there.
 enum class JobFieldSource { kLocalManifest, kUntrustedSubmission };
+
+// What a job field holds, and how it is spelled in JSON and on the CLI.
+enum class JobFieldType {
+  kText,       // JSON string; CLI text as given
+  kWord,       // JSON string from `words`; CLI the same word
+  kInt,        // JSON integer in [min, max]; CLI the same in decimal
+  kBool,       // JSON boolean; CLI a flag without a value, meaning true
+  kInputSet,   // JSON array of input indices; CLI "0,2" ("" is the empty set)
+  kGrid,       // JSON {"lo": L, "hi": H} with L <= H, either bound alone; CLI "L:H"
+  kFaultSpec,  // JSON string in the ParseFaultSpecs grammar; CLI the same
+  kFile,       // JSON path whose content is read into the bound field
+};
+
+// One row of the job vocabulary: a CheckJobSpec field with its JSON key, its
+// CLI flag, its type and range, and who may set it. Its default is the
+// CheckJobSpec member's initializer.
+struct JobField {
+  const char* key;             // manifest and wire key
+  const char* flag = nullptr;  // CLI flag of the verbs that take it; nullptr if none
+  JobFieldType type = JobFieldType::kText;
+  Json (*get)(const CheckJobSpec&) = nullptr;  // the field as JSON; nullptr for kFile
+  void (*set)(const Json&, CheckJobSpec*) = nullptr;  // stores a checked value
+  std::vector<std::string> words = {};  // kWord: the accepted values
+  std::int64_t min = 0;                 // kInt: the accepted range
+  std::int64_t max = 0;
+  // kInt: the meaning of a default that lies outside [min, max]. JSON may
+  // send that default explicitly; the CLI says it by leaving the flag out.
+  const char* unset = nullptr;
+  bool local_only = false;    // only a kLocalManifest source may set it
+  bool omit_default = false;  // CheckJobSpecToJson leaves it out at its default
+};
+
+// The table, in the key order CheckJobSpecToJson renders.
+const std::vector<JobField>& JobFields();
+
+// Parses one CLI flag value for `field` and stores it in `spec`. Errors read
+// "bad --<flag> value '<text>' (...)" and name the accepted form.
+Result<bool> ApplyJobFlag(const JobField& field, const std::string& text, CheckJobSpec* spec);
+
+// Checks every range and word list of the table against an in-memory spec,
+// with errors prefixed by the field's key. PrepareJob runs this for specs
+// that never passed through ApplyManifestJobFields or ApplyJobFlag.
+Result<bool> ValidateJobFields(const CheckJobSpec& spec);
 
 // Applies one job object's fields over `spec` with manifest-grade strictness
 // (unknown keys, wrong types and out-of-range values are errors naming

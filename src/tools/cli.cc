@@ -1,5 +1,7 @@
 #include "src/tools/cli.h"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -15,10 +17,7 @@
 #include "src/flowchart/optimize.h"
 #include "src/flowlang/lower.h"
 #include "src/flowlang/parser.h"
-#include "src/mechanism/fault.h"
-#include "src/mechanism/soundness.h"
 #include "src/obs/obs.h"
-#include "src/policy/policy.h"
 #include "src/scenario/fuzzer.h"
 #include "src/server/client.h"
 #include "src/server/server.h"
@@ -26,7 +25,6 @@
 #include "src/service/manifest.h"
 #include "src/service/service.h"
 #include "src/staticflow/analysis.h"
-#include "src/staticflow/static_mechanisms.h"
 #include "src/surveillance/instrument.h"
 #include "src/surveillance/surveillance.h"
 #include "src/transforms/advisor.h"
@@ -87,6 +85,27 @@ std::optional<std::string> FlagValue(const ParsedArgs& args, const std::string& 
   return std::nullopt;
 }
 
+// A non-negative integer flag; absent leaves *value as it is. Errors name
+// the flag.
+bool NonNegativeFlag(const ParsedArgs& args, const std::string& name, long long* value,
+                     std::string* err) {
+  const std::optional<std::string> text = FlagValue(args, name);
+  if (!text.has_value()) {
+    return true;
+  }
+  try {
+    *value = std::stoll(*text);
+  } catch (...) {
+    *err += "bad --" + name + " value '" + *text + "'\n";
+    return false;
+  }
+  if (*value < 0) {
+    *err += "--" + name + " must be non-negative\n";
+    return false;
+  }
+  return true;
+}
+
 // Parses "1,2,3" into integers.
 std::optional<std::vector<Value>> ParseValueList(const std::string& text, std::string* err) {
   std::vector<Value> out;
@@ -103,103 +122,52 @@ std::optional<std::vector<Value>> ParseValueList(const std::string& text, std::s
   return out;
 }
 
-std::optional<VarSet> ParseAllowSet(const ParsedArgs& args, int num_inputs, std::string* err,
-                                    const std::string& flag_name = "allow") {
-  const std::optional<std::string> value = FlagValue(args, flag_name);
-  if (!value.has_value()) {
-    *err += "missing --" + flag_name +
-            "=<comma-separated input indices> (empty string for allow())\n";
-    return std::nullopt;
-  }
-  VarSet allowed;
-  if (value->empty()) {
-    return allowed;
-  }
-  const auto indices = ParseValueList(*value, err);
-  if (!indices.has_value()) {
-    return std::nullopt;
-  }
-  for (Value i : *indices) {
-    if (i < 0 || i >= num_inputs) {
-      *err += "allow index " + std::to_string(i) + " out of range\n";
-      return std::nullopt;
+// Applies the job-field flags present in `args` over *spec, through the
+// table that manifests and wire frames are read with (src/service/manifest.h):
+// --grid, --threads, --allow and the rest mean one thing, and fail with one
+// message, on every verb that takes them. RunCli has already refused the
+// flags a verb does not take.
+bool ApplyJobFlags(const ParsedArgs& args, CheckJobSpec* spec, std::string* err) {
+  for (const JobField& field : JobFields()) {
+    const std::optional<std::string> text =
+        field.flag != nullptr ? FlagValue(args, field.flag) : std::nullopt;
+    if (!text.has_value()) {
+      continue;
     }
-    allowed.Insert(static_cast<int>(i));
+    const Result<bool> applied = ApplyJobFlag(field, *text, spec);
+    if (!applied.ok()) {
+      *err += applied.error().message + "\n";
+      return false;
+    }
   }
-  return allowed;
+  return true;
 }
 
-// THE --grid parse: every grid-taking verb (check, audit, advise) funnels
-// through here, so "--grid=lo:hi" means exactly one thing and a malformed
-// value produces exactly one message on every verb — a parity locked by
-// tests/cli_test.cc. An absent flag keeps the canonical default {-1..2};
-// a present-but-malformed one is an error, never a silent default.
-bool ParseGridFlag(const ParsedArgs& args, Value* lo, Value* hi, std::string* err) {
-  const std::optional<std::string> grid = FlagValue(args, "grid");
-  if (!grid.has_value()) {
-    return true;
-  }
-  const size_t colon = grid->find(':');
-  if (colon != std::string::npos) {
-    try {
-      *lo = std::stoll(grid->substr(0, colon));
-      *hi = std::stoll(grid->substr(colon + 1));
-      return true;
-    } catch (...) {
-      // fall through to the shared message
-    }
-  }
-  *err += "bad --grid value '" + *grid + "' (expected lo:hi)\n";
-  return false;
-}
-
-std::optional<InputDomain> ParseGrid(const ParsedArgs& args, int num_inputs,
-                                     std::string* err) {
-  Value lo = -1;
-  Value hi = 2;
-  if (!ParseGridFlag(args, &lo, &hi, err)) {
+// The job a program verb's flags describe. --allow is required ("" spells
+// allow()), --allow2 defaults to it, and both must name inputs of a program
+// with `num_inputs` inputs. Unlike a manifest job, the sweep uses one worker
+// per hardware thread unless --threads says otherwise.
+std::optional<CheckJobSpec> JobFromFlags(const ParsedArgs& args, int num_inputs,
+                                         std::string* err) {
+  if (!FlagValue(args, "allow").has_value()) {
+    *err += "missing --allow=<comma-separated input indices> (empty string for allow())\n";
     return std::nullopt;
   }
-  return InputDomain::Range(num_inputs, lo, hi);
-}
-
-// Parses --threads=N and --deadline-ms=N into grid-evaluation options.
-// --threads=0 (the default) means one worker per hardware thread; 1 forces
-// the serial reference scan. --deadline-ms bounds the sweep's wall time;
-// an exceeded deadline yields a structured kDeadlineExceeded report.
-std::optional<CheckOptions> ParseCheckOptions(const ParsedArgs& args, std::string* err) {
-  CheckOptions options;
-  if (const auto threads = FlagValue(args, "threads"); threads.has_value()) {
-    long long value = -1;
-    try {
-      value = std::stoll(*threads);
-    } catch (...) {
-      *err += "bad --threads value '" + *threads + "'\n";
-      return std::nullopt;
-    }
-    const Result<int> validated = ValidateThreads(value);
-    if (!validated.ok()) {
-      *err += "bad --threads value: " + validated.error().message + "\n";
-      return std::nullopt;
-    }
-    options.num_threads = validated.value();
+  CheckJobSpec spec;
+  spec.num_threads = 0;
+  if (!ApplyJobFlags(args, &spec, err)) {
+    return std::nullopt;
   }
-  if (const auto deadline = FlagValue(args, "deadline-ms"); deadline.has_value()) {
-    long long millis = 0;
-    try {
-      millis = std::stoll(*deadline);
-    } catch (...) {
-      millis = -1;
-    }
-    const Result<Deadline> validated = ValidateDeadlineMillis(millis);
-    if (!validated.ok()) {
-      *err += "bad --deadline-ms value '" + *deadline + "': " + validated.error().message +
-              "\n";
-      return std::nullopt;
-    }
-    options.deadline = validated.value();
+  if (!FlagValue(args, "allow2").has_value()) {
+    spec.allow2 = spec.allow;
   }
-  return options;
+  const VarSet outside = spec.allow.Union(spec.allow2).Minus(VarSet::FirstN(num_inputs));
+  if (!outside.empty()) {
+    *err += "allow index " + std::to_string(std::countr_zero(outside.bits())) +
+            " out of range\n";
+    return std::nullopt;
+  }
+  return spec;
 }
 
 // Observability sinks for the checking verbs (check | batch | audit):
@@ -270,40 +238,46 @@ int FoldWrite(int code, const ObsSinks& sinks, std::string* err) {
   return code;
 }
 
-std::optional<Program> LoadProgram(const ParsedArgs& args, std::string* err) {
+std::optional<std::string> ReadFile(const std::string& path, std::string* err) {
+  std::ifstream stream(path);
+  if (!stream) {
+    *err += "cannot open '" + path + "'\n";
+    return std::nullopt;
+  }
+  std::stringstream buffer;
+  buffer << stream.rdbuf();
+  return buffer.str();
+}
+
+// The program file, parsed; errors name the file. `text`, when given,
+// receives the source as read.
+std::optional<SourceProgram> LoadSource(const ParsedArgs& args, std::string* err,
+                                        std::string* text = nullptr) {
   if (args.file.empty()) {
     *err += "missing program file\n";
     return std::nullopt;
   }
-  std::ifstream stream(args.file);
-  if (!stream) {
-    *err += "cannot open '" + args.file + "'\n";
+  std::optional<std::string> source = ReadFile(args.file, err);
+  if (!source.has_value()) {
     return std::nullopt;
   }
-  std::stringstream buffer;
-  buffer << stream.rdbuf();
-  Result<SourceProgram> parsed = ParseProgram(buffer.str());
+  Result<SourceProgram> parsed = ParseProgram(*source);
   if (!parsed.ok()) {
     *err += args.file + ":" + parsed.error().ToString() + "\n";
     return std::nullopt;
   }
-  return Lower(parsed.value());
-}
-
-std::optional<SourceProgram> LoadSource(const ParsedArgs& args, std::string* err) {
-  std::ifstream stream(args.file);
-  if (!stream) {
-    *err += "cannot open '" + args.file + "'\n";
-    return std::nullopt;
-  }
-  std::stringstream buffer;
-  buffer << stream.rdbuf();
-  Result<SourceProgram> parsed = ParseProgram(buffer.str());
-  if (!parsed.ok()) {
-    *err += args.file + ":" + parsed.error().ToString() + "\n";
-    return std::nullopt;
+  if (text != nullptr) {
+    *text = std::move(*source);
   }
   return std::move(parsed).value();
+}
+
+std::optional<Program> LoadProgram(const ParsedArgs& args, std::string* err) {
+  const auto source = LoadSource(args, err);
+  if (!source.has_value()) {
+    return std::nullopt;
+  }
+  return Lower(*source);
 }
 
 std::optional<Input> ParseInputs(const ParsedArgs& args, int num_inputs, std::string* err) {
@@ -348,8 +322,8 @@ int CmdMonitor(const ParsedArgs& args, std::string* out, std::string* err) {
   if (!program.has_value()) {
     return 1;
   }
-  const auto allowed = ParseAllowSet(args, program->num_inputs(), err);
-  if (!allowed.has_value()) {
+  const auto job = JobFromFlags(args, program->num_inputs(), err);
+  if (!job.has_value()) {
     return 1;
   }
   const auto input = ParseInputs(args, program->num_inputs(), err);
@@ -361,137 +335,42 @@ int CmdMonitor(const ParsedArgs& args, std::string* out, std::string* err) {
   const LabelDiscipline discipline = HasFlag(args, "high-water")
                                          ? LabelDiscipline::kHighWater
                                          : LabelDiscipline::kSurveillance;
-  const SurveillanceMechanism mechanism(std::move(*program), *allowed, timing, discipline);
+  const SurveillanceMechanism mechanism(std::move(*program), job->allow, timing, discipline);
   *out += mechanism.name() + ": " + mechanism.Run(*input).ToString() + "\n";
   return 0;
 }
 
-// Mechanism construction is shared with the batch service (MakeMechanismKind
-// in src/service/job.h) so `check --mechanism=X` and a manifest's
-// "mechanism": "X" always build the identical object.
-std::unique_ptr<ProtectionMechanism> MakeCheckedMechanism(const std::string& kind,
-                                                          const Program& program,
-                                                          VarSet allowed, std::string* err) {
-  std::string error;
-  auto mechanism = MakeMechanismKind(kind, program, allowed, &error);
-  if (mechanism == nullptr) {
-    *err += "bad --mechanism: " + error + "\n";
-  }
-  return mechanism;
-}
-
-std::optional<CheckJobSpec> JobSpecFromFlags(const ParsedArgs& args, CheckerKind checker,
-                                             std::string* err);
-
-int CmdCheck(const ParsedArgs& args, std::string* out, std::string* err) {
-  // --sweep-mode=class routes the verb through the job layer, whose class
-  // sweep covers certified equivalence classes from one representative run
-  // (DESIGN.md §14), and --exec-mode=compiled routes it there too so the
-  // job layer can build the bytecode fast path (DESIGN.md §15). A completed
-  // run's stdout and exit code are byte-identical to the default
-  // point/interpreted path — those identities are the modes' core contracts
-  // and are locked by tests/cli_test.cc and the scenario matrix.
-  const auto cmd_check_exec_mode = FlagValue(args, "exec-mode");
-  const bool job_routed_exec =
-      cmd_check_exec_mode.has_value() && *cmd_check_exec_mode != "interpreted";
-  if (const auto sweep_mode = FlagValue(args, "sweep-mode");
-      (sweep_mode.has_value() && *sweep_mode != "point") || job_routed_exec) {
-    const std::optional<CheckJobSpec> spec =
-        JobSpecFromFlags(args, CheckerKind::kSoundness, err);
-    if (!spec.has_value()) {
-      return 1;
-    }
-    const auto sinks = MakeObsSinks(args, err);
-    if (!sinks.has_value()) {
-      return 1;
-    }
-    const JobResult result = ExecuteJob(*spec, sinks->Context());
-    if (result.status == JobStatus::kInvalid) {
-      *err += result.error + "\n";
-      return result.exit_code;
-    }
-    *out += result.report;
-    return FoldWrite(result.exit_code, *sinks, err);
-  }
-  const auto program = LoadProgram(args, err);
-  if (!program.has_value()) {
+// `secpol check <file.fl> --allow=...` and `secpol audit <file.fl>
+// --allow=... [--allow2=...] [--mechanism2=...]` build one job from their
+// flags (check: the soundness checker; audit: all six checks in one pass over
+// a shared outcome table, see src/service/audit.h) and run it through
+// ExecuteJob, the path `batch` and `serve` run manifest and wire jobs
+// through, so a verb, a manifest and the cache render the identical bytes.
+// The exit code is the job's: for audit, the worst of its six sections'.
+int RunJob(const ParsedArgs& args, CheckerKind checker, std::string* out, std::string* err) {
+  std::string text;
+  const auto source = LoadSource(args, err, &text);
+  if (!source.has_value()) {
     return 1;
   }
-  const auto allowed = ParseAllowSet(args, program->num_inputs(), err);
-  if (!allowed.has_value()) {
+  std::optional<CheckJobSpec> spec = JobFromFlags(args, source->num_inputs(), err);
+  if (!spec.has_value()) {
     return 1;
   }
-  const std::string kind = FlagValue(args, "mechanism").value_or("surveillance");
-  std::shared_ptr<const ProtectionMechanism> mechanism =
-      MakeCheckedMechanism(kind, *program, *allowed, err);
-  if (mechanism == nullptr) {
-    return 1;
-  }
-  const auto options = ParseCheckOptions(args, err);
-  if (!options.has_value()) {
-    return 1;
-  }
-  const AllowPolicy policy(program->num_inputs(), *allowed);
-  const auto parsed_domain = ParseGrid(args, program->num_inputs(), err);
-  if (!parsed_domain.has_value()) {
-    return 1;
-  }
-  const InputDomain domain = *parsed_domain;
-
-  // Optional fault injection (for exercising the runtime's degradation
-  // paths from the command line) and bounded retry of transient faults.
-  if (const auto fault_spec = FlagValue(args, "fault-spec"); fault_spec.has_value()) {
-    auto specs = ParseFaultSpecs(*fault_spec);
-    if (!specs.ok()) {
-      *err += "bad --fault-spec: " + specs.error().ToString() + "\n";
-      return 1;
-    }
-    mechanism = std::make_shared<FaultInjectingMechanism>(std::move(mechanism), domain,
-                                                          std::move(specs).value());
-  }
-  if (const auto retries = FlagValue(args, "retries"); retries.has_value()) {
-    long long max_retries = -1;
-    try {
-      max_retries = std::stoll(*retries);
-    } catch (...) {
-      max_retries = -1;
-    }
-    const Result<int> validated = ValidateRetries(max_retries);
-    if (!validated.ok()) {
-      *err += "bad --retries value '" + *retries + "': " + validated.error().message + "\n";
-      return 1;
-    }
-    mechanism = std::make_shared<RetryingMechanism>(std::move(mechanism), validated.value());
-  }
-
+  spec->id = CheckerKindName(checker);
+  spec->checker = checker;
+  spec->program_text = std::move(text);
   const auto sinks = MakeObsSinks(args, err);
   if (!sinks.has_value()) {
     return 1;
   }
-  CheckOptions check_options = *options;
-  check_options.obs = sinks->Context();
-
-  const Observability obs =
-      HasFlag(args, "time") ? Observability::kValueAndTime : Observability::kValueOnly;
-  const SoundnessReport report =
-      CheckSoundness(*mechanism, policy, domain, obs, check_options);
-  *out += mechanism->name() + " for " + policy.name() + " over " + domain.ToString() + " [" +
-          ObservabilityName(obs) + "]:\n" + report.ToString() + "\n";
-  // Exit codes mirror the structured status: a bounded or aborted run is
-  // neither "sound" (0) nor "proved unsound" (2) unless a witness was found.
-  int code = 4;
-  switch (report.progress.status) {
-    case CheckStatus::kCompleted:
-      code = report.sound ? 0 : 2;
-      break;
-    case CheckStatus::kDeadlineExceeded:
-      code = report.counterexample.has_value() ? 2 : 3;
-      break;
-    case CheckStatus::kAborted:
-      code = 4;
-      break;
+  const JobResult result = ExecuteJob(*spec, sinks->Context());
+  if (result.status == JobStatus::kInvalid) {
+    *err += result.error + "\n";
+    return result.exit_code;
   }
-  return FoldWrite(code, *sinks, err);
+  *out += result.report;
+  return FoldWrite(result.exit_code, *sinks, err);
 }
 
 // `secpol batch <manifest.json>`: run a whole manifest of check jobs
@@ -504,14 +383,11 @@ int CmdBatch(const ParsedArgs& args, std::string* out, std::string* err) {
     *err += "missing manifest file (usage: secpol batch <manifest.json> [--pretty])\n";
     return 1;
   }
-  std::ifstream stream(args.file);
-  if (!stream) {
-    *err += "cannot open '" + args.file + "'\n";
+  const std::optional<std::string> text = ReadFile(args.file, err);
+  if (!text.has_value()) {
     return 1;
   }
-  std::stringstream buffer;
-  buffer << stream.rdbuf();
-  Result<BatchManifest> manifest = ParseBatchManifest(buffer.str());
+  Result<BatchManifest> manifest = ParseBatchManifest(*text);
   if (!manifest.ok()) {
     *err += args.file + ": " + manifest.error().ToString() + "\n";
     return 1;
@@ -530,124 +406,6 @@ int CmdBatch(const ParsedArgs& args, std::string* out, std::string* err) {
   return FoldWrite(report.ExitCode(), *sinks, err);
 }
 
-// `secpol audit <file.fl> --allow=... [--allow2=...] [--mechanism=...]
-// [--mechanism2=...]`: run all six exhaustive checks in one pass over a
-// shared outcome table (see src/service/audit.h). The report is the
-// concatenation of the six standalone check reports; the exit code is the
-// worst of the six sections'. Routed through ExecuteJob so the CLI, a batch
-// manifest, and the cache all render the identical bytes.
-// Builds a CheckJobSpec from the checking verbs' shared flag vocabulary
-// (--allow / --allow2 / --mechanism / --mechanism2 / --grid / --time /
-// --threads / --deadline-ms / --fault-spec / --retries / --sweep-mode /
-// --exec-mode), validating every flag with the verbs' own error style
-// before the job layer re-validates. Shared by `audit` (always job-routed)
-// and `check` (job-routed under --sweep-mode=class or --exec-mode=compiled),
-// so both verbs parse each flag — and misparse each flag — identically.
-std::optional<CheckJobSpec> JobSpecFromFlags(const ParsedArgs& args, CheckerKind checker,
-                                             std::string* err) {
-  if (args.file.empty()) {
-    *err += "missing program file\n";
-    return std::nullopt;
-  }
-  std::ifstream stream(args.file);
-  if (!stream) {
-    *err += "cannot open '" + args.file + "'\n";
-    return std::nullopt;
-  }
-  std::stringstream buffer;
-  buffer << stream.rdbuf();
-
-  CheckJobSpec spec;
-  spec.id = CheckerKindName(checker);
-  spec.checker = checker;
-  spec.program_text = buffer.str();
-
-  // Validate the allow sets against the parsed program up front, so flag
-  // errors read like the other verbs' instead of PrepareJob's.
-  Result<SourceProgram> parsed = ParseProgram(spec.program_text);
-  if (!parsed.ok()) {
-    *err += args.file + ":" + parsed.error().ToString() + "\n";
-    return std::nullopt;
-  }
-  const int num_inputs = parsed.value().num_inputs();
-  const auto allowed = ParseAllowSet(args, num_inputs, err);
-  if (!allowed.has_value()) {
-    return std::nullopt;
-  }
-  spec.allow = *allowed;
-  // Default disclosure reference: the policy itself (a trivially true
-  // reveals-at-most section) unless --allow2 names a different one.
-  spec.allow2 = *allowed;
-  if (FlagValue(args, "allow2").has_value()) {
-    const auto allowed2 = ParseAllowSet(args, num_inputs, err, "allow2");
-    if (!allowed2.has_value()) {
-      return std::nullopt;
-    }
-    spec.allow2 = *allowed2;
-  }
-
-  spec.mechanism = FlagValue(args, "mechanism").value_or("surveillance");
-  spec.mechanism2 = FlagValue(args, "mechanism2").value_or("bare");
-  spec.observe_time = HasFlag(args, "time");
-  if (!ParseGridFlag(args, &spec.grid_lo, &spec.grid_hi, err)) {
-    return std::nullopt;
-  }
-  const auto options = ParseCheckOptions(args, err);
-  if (!options.has_value()) {
-    return std::nullopt;
-  }
-  spec.num_threads = options->num_threads;
-  if (const auto deadline = FlagValue(args, "deadline-ms"); deadline.has_value()) {
-    spec.deadline_ms = std::stoll(*deadline);  // validated by ParseCheckOptions above
-  }
-  if (const auto fault_spec = FlagValue(args, "fault-spec"); fault_spec.has_value()) {
-    spec.fault_spec = *fault_spec;
-  }
-  if (const auto retries = FlagValue(args, "retries"); retries.has_value()) {
-    try {
-      spec.retries = static_cast<int>(std::stoll(*retries));
-    } catch (...) {
-      *err += "bad --retries value '" + *retries + "'\n";
-      return std::nullopt;
-    }
-  }
-  const std::string sweep_mode = FlagValue(args, "sweep-mode").value_or("point");
-  if (sweep_mode != "point" && sweep_mode != "class") {
-    *err += "bad --sweep-mode value '" + sweep_mode + "' (expected point or class)\n";
-    return std::nullopt;
-  }
-  spec.sweep_mode = sweep_mode;
-  const std::string exec_mode = FlagValue(args, "exec-mode").value_or("interpreted");
-  if (exec_mode != "interpreted" && exec_mode != "compiled") {
-    *err += "bad --exec-mode value '" + exec_mode + "' (expected interpreted or compiled)\n";
-    return std::nullopt;
-  }
-  spec.exec_mode = exec_mode;
-  return spec;
-}
-
-int CmdAudit(const ParsedArgs& args, std::string* out, std::string* err) {
-  const std::optional<CheckJobSpec> spec_from_flags =
-      JobSpecFromFlags(args, CheckerKind::kAudit, err);
-  if (!spec_from_flags.has_value()) {
-    return 1;
-  }
-  CheckJobSpec spec = *spec_from_flags;
-  spec.id = "audit";
-
-  const auto sinks = MakeObsSinks(args, err);
-  if (!sinks.has_value()) {
-    return 1;
-  }
-  const JobResult result = ExecuteJob(spec, sinks->Context());
-  if (result.status == JobStatus::kInvalid) {
-    *err += result.error + "\n";
-    return result.exit_code;
-  }
-  *out += result.report;
-  return FoldWrite(result.exit_code, *sinks, err);
-}
-
 // `secpol fuzz [--seed=N] [--iterations=N] [--budget-ms=N] [--threads=N]
 // [--out-dir=DIR] [--replay=<witness.json>]`: run the coverage-guided
 // disagreement fuzzer over the seeded corpus. Exit 0 for a clean run
@@ -660,14 +418,11 @@ int CmdAudit(const ParsedArgs& args, std::string* out, std::string* err) {
 // reproduces, 2 when it does not, 1 for an unreadable witness.
 int CmdFuzz(const ParsedArgs& args, std::string* out, std::string* err) {
   if (const auto witness_path = FlagValue(args, "replay"); witness_path.has_value()) {
-    std::ifstream stream(*witness_path);
-    if (!stream) {
-      *err += "cannot open '" + *witness_path + "'\n";
+    const std::optional<std::string> text = ReadFile(*witness_path, err);
+    if (!text.has_value()) {
       return 1;
     }
-    std::stringstream buffer;
-    buffer << stream.rdbuf();
-    const Result<Json> witness = Json::Parse(buffer.str());
+    const Result<Json> witness = Json::Parse(*text);
     if (!witness.ok()) {
       *err += *witness_path + ": " + witness.error().ToString() + "\n";
       return 1;
@@ -688,29 +443,14 @@ int CmdFuzz(const ParsedArgs& args, std::string* out, std::string* err) {
   }
 
   FuzzerConfig config;
-  const auto int_flag = [&](const std::string& name, long long* value) {
-    const std::optional<std::string> text = FlagValue(args, name);
-    if (!text.has_value()) {
-      return true;
-    }
-    try {
-      *value = std::stoll(*text);
-    } catch (...) {
-      *err += "bad --" + name + " value '" + *text + "'\n";
-      return false;
-    }
-    if (*value < 0) {
-      *err += "--" + name + " must be non-negative\n";
-      return false;
-    }
-    return true;
-  };
   long long seed = static_cast<long long>(config.seed);
   long long iterations = static_cast<long long>(config.iterations);
   long long budget_ms = config.budget_ms;
-  long long threads = config.threads;
-  if (!int_flag("seed", &seed) || !int_flag("iterations", &iterations) ||
-      !int_flag("budget-ms", &budget_ms) || !int_flag("threads", &threads)) {
+  CheckJobSpec knobs;  // --threads, read through the job-field table
+  knobs.num_threads = config.threads;
+  if (!NonNegativeFlag(args, "seed", &seed, err) ||
+      !NonNegativeFlag(args, "iterations", &iterations, err) ||
+      !NonNegativeFlag(args, "budget-ms", &budget_ms, err) || !ApplyJobFlags(args, &knobs, err)) {
     return 1;
   }
   if (iterations == 0 && budget_ms == 0) {
@@ -720,14 +460,9 @@ int CmdFuzz(const ParsedArgs& args, std::string* out, std::string* err) {
   config.seed = static_cast<std::uint64_t>(seed);
   config.iterations = static_cast<std::uint64_t>(iterations);
   config.budget_ms = budget_ms;
-  const Result<int> validated_threads = ValidateThreads(threads);
-  if (!validated_threads.ok()) {
-    *err += "bad --threads value: " + validated_threads.error().message + "\n";
-    return 1;
-  }
   // threads=0 means "hardware concurrency" for the check verbs; the fuzzer's
   // parallel-vs-serial oracle wants an explicit worker count, so resolve it.
-  config.threads = validated_threads.value() == 0 ? 7 : validated_threads.value();
+  config.threads = knobs.num_threads == 0 ? 7 : knobs.num_threads;
 
   DisagreementFuzzer fuzzer(config);
   const FuzzReport report = fuzzer.Run();
@@ -761,27 +496,6 @@ int CmdFuzz(const ParsedArgs& args, std::string* out, std::string* err) {
 // Set by SIGTERM/SIGINT; the serve loop polls it and drains.
 volatile std::sig_atomic_t g_serve_stop = 0;
 void ServeStopHandler(int) { g_serve_stop = 1; }
-
-// Shared by serve/submit: a non-negative integer flag with a parse error
-// naming the flag.
-bool NonNegativeFlag(const ParsedArgs& args, const std::string& name, long long* value,
-                     std::string* err) {
-  const std::optional<std::string> text = FlagValue(args, name);
-  if (!text.has_value()) {
-    return true;
-  }
-  try {
-    *value = std::stoll(*text);
-  } catch (...) {
-    *err += "bad --" + name + " value '" + *text + "'\n";
-    return false;
-  }
-  if (*value < 0) {
-    *err += "--" + name + " must be non-negative\n";
-    return false;
-  }
-  return true;
-}
 
 // `secpol serve --socket=<path> [--tcp=<port>] [--concurrency=N]
 // [--cache-capacity=N] [--max-inflight=N] [--max-frame-bytes=N]
@@ -825,14 +539,11 @@ int CmdServe(const ParsedArgs& args, std::string* out, std::string* err) {
   config.quotas.max_json_depth = static_cast<int>(max_json_depth);
 
   if (const auto path = FlagValue(args, "defaults"); path.has_value()) {
-    std::ifstream stream(*path);
-    if (!stream) {
-      *err += "cannot open '" + *path + "'\n";
+    const std::optional<std::string> text = ReadFile(*path, err);
+    if (!text.has_value()) {
       return 1;
     }
-    std::stringstream buffer;
-    buffer << stream.rdbuf();
-    const Result<Json> defaults = Json::Parse(buffer.str());
+    const Result<Json> defaults = Json::Parse(*text);
     if (!defaults.ok()) {
       *err += *path + ": " + defaults.error().ToString() + "\n";
       return 1;
@@ -967,14 +678,11 @@ int CmdSubmit(const ParsedArgs& args, std::string* out, std::string* err) {
       *err += "missing job: --job=<json>, --job-file=<file>, or a positional file\n";
       return 1;
     }
-    std::ifstream stream(path);
-    if (!stream) {
-      *err += "cannot open '" + path + "'\n";
+    std::optional<std::string> text = ReadFile(path, err);
+    if (!text.has_value()) {
       return 1;
     }
-    std::stringstream buffer;
-    buffer << stream.rdbuf();
-    job_text = buffer.str();
+    job_text = std::move(*text);
   }
   const Result<Json> job = Json::Parse(job_text);
   if (!job.ok()) {
@@ -1035,10 +743,11 @@ int CmdAnalyze(const ParsedArgs& args, std::string* out, std::string* err) {
   if (!program.has_value()) {
     return 1;
   }
-  const auto allowed = ParseAllowSet(args, program->num_inputs(), err);
-  if (!allowed.has_value()) {
+  const auto job = JobFromFlags(args, program->num_inputs(), err);
+  if (!job.has_value()) {
     return 1;
   }
+  const VarSet allowed = job->allow;
   const PcDiscipline discipline =
       HasFlag(args, "monotone") ? PcDiscipline::kMonotonePc : PcDiscipline::kScopedPc;
   const StaticFlowResult flow = AnalyzeInformationFlow(*program, discipline);
@@ -1047,11 +756,11 @@ int CmdAnalyze(const ParsedArgs& args, std::string* out, std::string* err) {
   for (int h : flow.halts) {
     *out += "  halt box " + std::to_string(h) + ": release label " +
             flow.release_label[h].ToString() +
-            (flow.release_label[h].SubsetOf(*allowed) ? " (releases)" : " (violates)") + "\n";
+            (flow.release_label[h].SubsetOf(allowed) ? " (releases)" : " (violates)") + "\n";
   }
   *out += "program release label: " + flow.program_release_label.ToString() + " -> " +
-          (flow.program_release_label.SubsetOf(*allowed) ? "CERTIFIED" : "NOT CERTIFIED") +
-          " for allow=" + allowed->ToString() + "\n";
+          (flow.program_release_label.SubsetOf(allowed) ? "CERTIFIED" : "NOT CERTIFIED") +
+          " for allow=" + allowed.ToString() + "\n";
   return 0;
 }
 
@@ -1060,11 +769,11 @@ int CmdInstrument(const ParsedArgs& args, std::string* out, std::string* err) {
   if (!program.has_value()) {
     return 1;
   }
-  const auto allowed = ParseAllowSet(args, program->num_inputs(), err);
-  if (!allowed.has_value()) {
+  const auto job = JobFromFlags(args, program->num_inputs(), err);
+  if (!job.has_value()) {
     return 1;
   }
-  *out += InstrumentSurveillance(*program, *allowed).ToString();
+  *out += InstrumentSurveillance(*program, job->allow).ToString();
   return 0;
 }
 
@@ -1073,23 +782,17 @@ int CmdAdvise(const ParsedArgs& args, std::string* out, std::string* err) {
   if (!source.has_value()) {
     return 1;
   }
-  const int num_inputs = source->num_inputs();
-  const auto allowed = ParseAllowSet(args, num_inputs, err);
-  if (!allowed.has_value()) {
+  const auto job = JobFromFlags(args, source->num_inputs(), err);
+  if (!job.has_value()) {
     return 1;
   }
-  const auto check = ParseCheckOptions(args, err);
-  if (!check.has_value()) {
-    return 1;
-  }
-  const auto parsed_domain = ParseGrid(args, num_inputs, err);
-  if (!parsed_domain.has_value()) {
-    return 1;
-  }
-  const InputDomain domain = *parsed_domain;
+  const InputDomain domain = InputDomain::Range(source->num_inputs(), job->grid_lo, job->grid_hi);
   AdvisorOptions advisor_options;
-  advisor_options.check = *check;
-  const AdvisorReport report = AdviseTransforms(*source, *allowed, domain, advisor_options);
+  advisor_options.check.num_threads = job->num_threads;
+  if (job->deadline_ms > 0) {
+    advisor_options.check.deadline = Deadline::AfterMillis(job->deadline_ms);
+  }
+  const AdvisorReport report = AdviseTransforms(*source, job->allow, domain, advisor_options);
   *out += report.ToString();
   *out += "chosen rewriting:\n" + report.best().program.ToString();
   return 0;
@@ -1154,6 +857,52 @@ int CmdBytecode(const ParsedArgs& args, std::string* out, std::string* err) {
   return 0;
 }
 
+// A verb, its handler, and every flag the handler reads. RunCli refuses any
+// other flag, so a misspelt one cannot quietly leave a default in place.
+struct Verb {
+  const char* name;
+  int (*run)(const ParsedArgs& args, std::string* out, std::string* err);
+  std::vector<std::string> flags;
+};
+
+// In the order the unknown-command message lists them.
+const std::vector<Verb>& Verbs() {
+  static const std::vector<Verb> verbs = {
+      {"run", CmdRun, {"input"}},
+      {"monitor", CmdMonitor, {"allow", "input", "time-safe", "high-water"}},
+      {"check",
+       [](const ParsedArgs& args, std::string* out, std::string* err) {
+         return RunJob(args, CheckerKind::kSoundness, out, err);
+       },
+       {"allow", "mechanism", "grid", "time", "threads", "deadline-ms", "fault-spec", "retries",
+        "sweep-mode", "exec-mode", "metrics-out", "trace-out"}},
+      {"audit",
+       [](const ParsedArgs& args, std::string* out, std::string* err) {
+         return RunJob(args, CheckerKind::kAudit, out, err);
+       },
+       {"allow", "allow2", "mechanism", "mechanism2", "grid", "time", "threads", "deadline-ms",
+        "fault-spec", "retries", "sweep-mode", "exec-mode", "metrics-out", "trace-out"}},
+      {"batch", CmdBatch, {"pretty", "metrics-out", "trace-out"}},
+      {"serve",
+       CmdServe,
+       {"socket", "tcp", "concurrency", "cache-capacity", "max-inflight", "max-frame-bytes",
+        "max-json-depth", "defaults"}},
+      {"submit",
+       CmdSubmit,
+       {"socket", "tcp", "job", "job-file", "ping", "stats", "reload-defaults", "reload-quotas",
+        "print-report", "pretty"}},
+      {"fuzz", CmdFuzz, {"seed", "iterations", "budget-ms", "threads", "out-dir", "replay"}},
+      {"analyze", CmdAnalyze, {"allow", "monotone"}},
+      {"instrument", CmdInstrument, {"allow"}},
+      {"advise", CmdAdvise, {"allow", "grid", "threads", "deadline-ms"}},
+      {"optimize", CmdOptimize, {}},
+      {"decompile", CmdDecompile, {}},
+      {"dot", CmdDot, {}},
+      {"bytecode", CmdBytecode, {}},
+  };
+  return verbs;
+}
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::string* out, std::string* err) {
@@ -1161,54 +910,28 @@ int RunCli(const std::vector<std::string>& args, std::string* out, std::string* 
   if (!parsed.has_value()) {
     return 1;
   }
-  if (parsed->command == "run") {
-    return CmdRun(*parsed, out, err);
-  }
-  if (parsed->command == "monitor") {
-    return CmdMonitor(*parsed, out, err);
-  }
-  if (parsed->command == "check") {
-    return CmdCheck(*parsed, out, err);
-  }
   // Both spellings: `secpol batch m.json` and `secpol --batch m.json`.
-  if (parsed->command == "batch" || parsed->command == "--batch") {
-    return CmdBatch(*parsed, out, err);
+  const std::string command = parsed->command == "--batch" ? "batch" : parsed->command;
+  std::string names;
+  for (const Verb& verb : Verbs()) {
+    names += (names.empty() ? "" : "|") + std::string(verb.name);
+    if (command != verb.name) {
+      continue;
+    }
+    for (const auto& [flag, value] : parsed->flags) {
+      if (std::find(verb.flags.begin(), verb.flags.end(), flag) == verb.flags.end()) {
+        std::string takes;
+        for (const std::string& known : verb.flags) {
+          takes += (takes.empty() ? " --" : ", --") + known;
+        }
+        *err += "unknown flag --" + flag + " for " + command + " (it takes" +
+                (takes.empty() ? " no flags" : takes) + ")\n";
+        return 1;
+      }
+    }
+    return verb.run(*parsed, out, err);
   }
-  if (parsed->command == "audit") {
-    return CmdAudit(*parsed, out, err);
-  }
-  if (parsed->command == "fuzz") {
-    return CmdFuzz(*parsed, out, err);
-  }
-  if (parsed->command == "serve") {
-    return CmdServe(*parsed, out, err);
-  }
-  if (parsed->command == "submit") {
-    return CmdSubmit(*parsed, out, err);
-  }
-  if (parsed->command == "analyze") {
-    return CmdAnalyze(*parsed, out, err);
-  }
-  if (parsed->command == "instrument") {
-    return CmdInstrument(*parsed, out, err);
-  }
-  if (parsed->command == "advise") {
-    return CmdAdvise(*parsed, out, err);
-  }
-  if (parsed->command == "decompile") {
-    return CmdDecompile(*parsed, out, err);
-  }
-  if (parsed->command == "optimize") {
-    return CmdOptimize(*parsed, out, err);
-  }
-  if (parsed->command == "dot") {
-    return CmdDot(*parsed, out, err);
-  }
-  if (parsed->command == "bytecode") {
-    return CmdBytecode(*parsed, out, err);
-  }
-  *err += "unknown command '" + parsed->command +
-          "' (expected run|monitor|check|audit|batch|serve|submit|fuzz|analyze|instrument|advise|optimize|decompile|dot|bytecode)\n";
+  *err += "unknown command '" + parsed->command + "' (expected " + names + ")\n";
   return 1;
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "src/channels/paging.h"
 #include "src/channels/password_attack.h"
@@ -122,6 +123,9 @@ struct WorkFactorCase {
   int k;
   int n;
 };
+
+// Names the test case by its parameter ("k=2 n=2"), not by raw bytes.
+void PrintTo(const WorkFactorCase& c, std::ostream* os) { *os << "k=" << c.k << " n=" << c.n; }
 
 class WorkFactorTest : public ::testing::TestWithParam<WorkFactorCase> {};
 

@@ -185,15 +185,52 @@ TEST_F(CliTest, AuditRunsAllSixChecksInOnePass) {
 
 TEST_F(CliTest, GridErrorsAreByteIdenticalAcrossVerbs) {
   // Every grid-taking verb funnels --grid through one parser, so a malformed
-  // value produces one message, byte-for-byte, no matter the verb.
+  // or inverted value produces one message, byte-for-byte, no matter the
+  // verb.
   const std::string path = WriteProgram("program p(pub, sec) { y = pub; }");
-  const std::string expected = "bad --grid value '1-3' (expected lo:hi)\n";
-  EXPECT_EQ(Run({"check", path, "--allow=0", "--grid=1-3"}), 1);
-  EXPECT_EQ(err_, expected);
-  EXPECT_EQ(Run({"audit", path, "--allow=0", "--grid=1-3"}), 1);
-  EXPECT_EQ(err_, expected);
-  EXPECT_EQ(Run({"advise", path, "--allow=0", "--grid=1-3"}), 1);
-  EXPECT_EQ(err_, expected);
+  for (const auto& [grid, expected] : std::vector<std::pair<std::string, std::string>>{
+           {"1-3", "bad --grid value '1-3' (expected lo:hi)\n"},
+           {"3:1", "bad --grid value '3:1' (lo 3 exceeds hi 1)\n"}}) {
+    for (const char* verb : {"check", "audit", "advise"}) {
+      EXPECT_EQ(Run({verb, path, "--allow=0", "--grid=" + grid}), 1) << verb << " " << grid;
+      EXPECT_EQ(err_, expected) << verb;
+      EXPECT_EQ(out_, "") << verb;
+    }
+  }
+}
+
+TEST_F(CliTest, UndeclaredFlagsExitOneOnEveryVerb) {
+  // A misspelt flag must not leave a default in place. On this witness the
+  // default surveillance mechanism is sound and the static one is not.
+  const std::string nested = WriteProgram(
+      "program nested(x0, x1, x2) { locals r1; "
+      "if ((x2 * -3) < x1) { if (r1 == 0) { r1 = -2; } } y = r1; }");
+  EXPECT_EQ(Run({"check", nested, "--allow=0,1", "--grid=-1:1", "--mechansim=static"}), 1);
+  EXPECT_NE(err_.find("--mechansim"), std::string::npos) << err_;
+  EXPECT_EQ(out_, "");
+  EXPECT_EQ(Run({"check", nested, "--allow=0,1", "--grid=-1:1", "--mechanism=static"}), 2);
+  EXPECT_NE(out_.find("UNSOUND"), std::string::npos);
+
+  // `check` has one policy and one mechanism; the second ones are audit's.
+  const std::string path = WriteProgram("program p(pub, sec) { y = pub; }");
+  for (const char* flag : {"--allow2=0", "--mechanism2=bare"}) {
+    EXPECT_EQ(Run({"check", path, "--allow=0", flag}), 1) << flag;
+    EXPECT_NE(err_.find(std::string(flag).substr(0, std::string(flag).find('='))),
+              std::string::npos)
+        << err_;
+  }
+
+  // Every verb refuses a flag it does not read before doing anything else:
+  // serve starts no daemon, fuzz runs no iteration.
+  for (const std::string verb :
+       {"run", "monitor", "check", "audit", "batch", "--batch", "serve", "submit", "fuzz",
+        "analyze", "instrument", "advise", "optimize", "decompile", "dot", "bytecode"}) {
+    EXPECT_EQ(Run({verb, path, "--no-such-flag=1"}), 1) << verb;
+    const std::string name = verb == "--batch" ? "batch" : verb;
+    EXPECT_NE(err_.find("unknown flag --no-such-flag for " + name), std::string::npos)
+        << verb << ": " << err_;
+    EXPECT_EQ(out_, "") << verb;
+  }
 }
 
 TEST_F(CliTest, SweepModeValidatesAndPreservesReportBytes) {

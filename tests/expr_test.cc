@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <ostream>
 
 #include "src/expr/expr.h"
 
@@ -23,6 +24,12 @@ struct BinCase {
   Value b;
   Value expected;
 };
+
+// Names the test case by its parameter ("2 + 3 -> 5") instead of gtest's
+// raw object bytes, whose padding differs from build to build.
+void PrintTo(const BinCase& c, std::ostream* os) {
+  *os << c.a << ' ' << BinaryOpName(c.op) << ' ' << c.b << " -> " << c.expected;
+}
 
 class BinaryOpTest : public ::testing::TestWithParam<BinCase> {};
 

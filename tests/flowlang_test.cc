@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/flowchart/interpreter.h"
 #include "src/flowlang/ast.h"
 #include "src/flowlang/lexer.h"
@@ -119,6 +121,10 @@ struct PrecCase {
   const char* source;
   Value expected;
 };
+
+// Names the test case by its source ("1 + 2 * 3 -> 7"), not by the bytes of
+// the source pointer.
+void PrintTo(const PrecCase& c, std::ostream* os) { *os << c.source << " -> " << c.expected; }
 
 class PrecedenceTest : public ::testing::TestWithParam<PrecCase> {};
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/mechanism/soundness.h"
 #include "src/minsky/data_mark.h"
 #include "src/minsky/minsky.h"
@@ -28,6 +30,11 @@ struct BinaryMachineCase {
   Value b;
   Value expected;
 };
+
+// Names the test case by its parameter ("(3, 4) -> 7"), not by raw bytes.
+void PrintTo(const BinaryMachineCase& c, std::ostream* os) {
+  *os << '(' << c.a << ", " << c.b << ") -> " << c.expected;
+}
 
 class AddMachineTest : public ::testing::TestWithParam<BinaryMachineCase> {};
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "src/mechanism/completeness.h"
 #include "src/mechanism/soundness.h"
@@ -71,6 +72,14 @@ struct MonitorCase {
   bool greedy;  // greedy summer vs compliant summer
   bool expect_sound;
 };
+
+// Names the test case by its parameter ("fail-stop greedy -> sound")
+// instead of gtest's raw object bytes, whose padding differs from build to
+// build.
+void PrintTo(const MonitorCase& c, std::ostream* os) {
+  *os << DenialModeName(c.mode) << (c.greedy ? " greedy" : " compliant") << " -> "
+      << (c.expect_sound ? "sound" : "unsound");
+}
 
 class MonitorSoundnessTest : public ::testing::TestWithParam<MonitorCase> {};
 

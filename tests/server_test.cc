@@ -259,6 +259,23 @@ TEST(ServerTest, UnknownJobFieldIsInvalidNotProtocolError) {
   EXPECT_NE(StringField(*result_job, "error").find("flarp"), std::string::npos);
 }
 
+TEST(ServerTest, OutOfRangeJobFieldIsInvalidNamingTheField) {
+  std::unique_ptr<CheckServer> server = StartServer(ServerConfig{});
+  ServeClient client = MustConnect(*server);
+
+  // -1 means "no retry wrapper"; -7 means nothing and must not run like -1.
+  Json job = CheckJobSpecToJson(BaseSpec("negative-retries", kCleanProgram));
+  job.Set("retries", Json::MakeInt(-7));
+  const Result<Json> terminal = client.SubmitJob(job);
+  ASSERT_TRUE(terminal.ok()) << terminal.error().message;
+  ASSERT_EQ(TypeOf(terminal.value()), "result");
+  const Json* result_job = terminal.value().Find("job");
+  ASSERT_NE(result_job, nullptr);
+  EXPECT_EQ(StringField(*result_job, "status"), "invalid");
+  EXPECT_EQ(IntField(*result_job, "exit_code"), 1);
+  EXPECT_NE(StringField(*result_job, "error").find("submit.job.retries"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Typed protocol errors.
 

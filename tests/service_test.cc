@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -804,6 +805,158 @@ TEST(ManifestTest, RejectsUnknownAndMistypedFields) {
             std::string::npos);
   // Errors name the offending job.
   EXPECT_NE(error_of(R"({"jobs": [{}, {"grid": 5}]})").find("jobs[1]"), std::string::npos);
+}
+
+// Every member of the spec, so a round trip cannot drop one unnoticed.
+void ExpectSameSpec(const CheckJobSpec& got, const CheckJobSpec& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.checker, want.checker);
+  EXPECT_EQ(got.program_text, want.program_text);
+  EXPECT_EQ(got.allow, want.allow);
+  EXPECT_EQ(got.mechanism, want.mechanism);
+  EXPECT_EQ(got.mechanism2, want.mechanism2);
+  EXPECT_EQ(got.allow2, want.allow2);
+  EXPECT_EQ(got.grid_lo, want.grid_lo);
+  EXPECT_EQ(got.grid_hi, want.grid_hi);
+  EXPECT_EQ(got.observe_time, want.observe_time);
+  EXPECT_EQ(got.sweep_mode, want.sweep_mode);
+  EXPECT_EQ(got.exec_mode, want.exec_mode);
+  EXPECT_EQ(got.num_threads, want.num_threads);
+  EXPECT_EQ(got.deadline_ms, want.deadline_ms);
+  EXPECT_EQ(got.priority, want.priority);
+  EXPECT_EQ(got.fault_spec, want.fault_spec);
+  EXPECT_EQ(got.retries, want.retries);
+}
+
+const JobField& FieldNamed(const std::string& key) {
+  for (const JobField& field : JobFields()) {
+    if (key == field.key) {
+      return field;
+    }
+  }
+  ADD_FAILURE() << "no job field " << key;
+  return JobFields().front();
+}
+
+// The error ApplyManifestJobFields reports for `text`, or "" when it applies.
+std::string JobFieldsError(const std::string& text,
+                           JobFieldSource source = JobFieldSource::kLocalManifest) {
+  CheckJobSpec spec;
+  const Result<bool> applied =
+      ApplyManifestJobFields(Json::Parse(text).value(), "job", &spec, source);
+  return applied.ok() ? std::string() : applied.error().message;
+}
+
+TEST(ManifestTest, EveryJobFieldRoundTripsFromFlagThroughJson) {
+  const std::string program_path = ::testing::TempDir() + "/round_trip_program.fl";
+  std::ofstream(program_path) << "program q(a) { y = a; }";
+  // One non-default value per row, as CLI flag text (rows with a flag) and as
+  // the JSON a manifest spells the same value with.
+  struct Sample {
+    std::string flag_text;
+    std::string json;
+  };
+  const std::map<std::string, Sample> samples = {
+      {"id", {"", R"("job-7")"}},
+      {"checker", {"", R"("audit")"}},
+      {"program", {"", R"("program p(a, b) { y = a; }")"}},
+      {"program_file", {"", "\"" + program_path + "\""}},
+      {"allow", {"0,2", "[0, 2]"}},
+      {"allow2", {"1", "[1]"}},
+      {"mechanism", {"static", R"("static")"}},
+      {"mechanism2", {"highwater", R"("highwater")"}},
+      {"grid", {"-2:3", R"({"lo": -2, "hi": 3})"}},
+      {"observe_time", {"", "true"}},
+      {"threads", {"3", "3"}},
+      {"deadline_ms", {"250", "250"}},
+      {"priority", {"", "4"}},
+      {"fault_spec", {"throw!@4", R"("throw!@4")"}},
+      {"retries", {"2", "2"}},
+      {"sweep_mode", {"class", R"("class")"}},
+      {"exec_mode", {"compiled", R"("compiled")"}},
+  };
+  const std::string defaults = CheckJobSpecToJson(CheckJobSpec()).Serialize();
+  for (const JobField& field : JobFields()) {
+    SCOPED_TRACE(field.key);
+    const auto sample = samples.find(field.key);
+    ASSERT_NE(sample, samples.end()) << "every row needs a round-trip sample";
+    const Result<Json> object =
+        Json::Parse("{\"" + std::string(field.key) + "\": " + sample->second.json + "}");
+    ASSERT_TRUE(object.ok());
+    CheckJobSpec spec;
+    const Result<bool> from_json =
+        ApplyManifestJobFields(object.value(), "job", &spec, JobFieldSource::kLocalManifest);
+    ASSERT_TRUE(from_json.ok()) << from_json.error().message;
+    if (field.flag != nullptr) {
+      // The flag spells the same value as the manifest key.
+      CheckJobSpec from_flag;
+      const Result<bool> applied = ApplyJobFlag(field, sample->second.flag_text, &from_flag);
+      ASSERT_TRUE(applied.ok()) << applied.error().message;
+      ExpectSameSpec(from_flag, spec);
+      spec = from_flag;
+    }
+    const Json rendered = CheckJobSpecToJson(spec);
+    EXPECT_NE(rendered.Serialize(), defaults) << "the sample must leave the default";
+    // The value renders back as written; program_file renders as the text it read.
+    const Json* value = rendered.Find(field.local_only ? "program" : field.key);
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(value->Serialize(), field.local_only ? R"("program q(a) { y = a; }")"
+                                                   : object.value().Find(field.key)->Serialize());
+    CheckJobSpec decoded;
+    const Result<bool> applied =
+        ApplyManifestJobFields(rendered, "job", &decoded, JobFieldSource::kLocalManifest);
+    ASSERT_TRUE(applied.ok()) << applied.error().message;
+    ExpectSameSpec(decoded, spec);
+  }
+  std::remove(program_path.c_str());
+}
+
+TEST(ManifestTest, RangesAreCheckedAlikeOnEveryPath) {
+  // -1 retries is how JSON says "no retry wrapper"; any other negative count
+  // is an error naming the field, in a manifest and in a submit frame alike.
+  EXPECT_EQ(JobFieldsError(R"({"retries": -1})"), "");
+  for (const JobFieldSource source :
+       {JobFieldSource::kLocalManifest, JobFieldSource::kUntrustedSubmission}) {
+    EXPECT_NE(JobFieldsError(R"({"retries": -7})", source).find("job.retries"),
+              std::string::npos);
+  }
+  const Result<BatchManifest> manifest = ParseBatchManifest(
+      R"({"jobs": [{"program": "program p(a) { y = a; }", "retries": -7}]})");
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_NE(manifest.error().message.find("jobs[0].retries"), std::string::npos);
+  // The CLI says "no retry wrapper" by leaving the flag out.
+  CheckJobSpec spec;
+  EXPECT_FALSE(ApplyJobFlag(FieldNamed("retries"), "-1", &spec).ok());
+
+  // Likewise 0 for an unbounded deadline.
+  EXPECT_EQ(JobFieldsError(R"({"deadline_ms": 0})"), "");
+  EXPECT_NE(JobFieldsError(R"({"deadline_ms": -1})").find("job.deadline_ms"), std::string::npos);
+  EXPECT_FALSE(ApplyJobFlag(FieldNamed("deadline_ms"), "0", &spec).ok());
+
+  EXPECT_NE(JobFieldsError(R"({"threads": 5000})").find("job.threads"), std::string::npos);
+  EXPECT_NE(JobFieldsError(R"({"grid": {"lo": 3, "hi": 1}})").find("lo 3 exceeds hi 1"),
+            std::string::npos);
+  const Result<bool> inverted = ApplyJobFlag(FieldNamed("grid"), "3:1", &spec);
+  ASSERT_FALSE(inverted.ok());
+  EXPECT_EQ(inverted.error().message, "bad --grid value '3:1' (lo 3 exceeds hi 1)");
+
+  // A bound given alone keeps the other; PrepareJob checks the merged grid.
+  CheckJobSpec partial = BaseSpec(kLeakyProgram, CheckerKind::kSoundness);
+  ASSERT_TRUE(ApplyManifestJobFields(Json::Parse(R"({"grid": {"lo": 0}})").value(), "job",
+                                     &partial, JobFieldSource::kLocalManifest)
+                  .ok());
+  EXPECT_EQ(partial.grid_lo, 0);
+  EXPECT_EQ(partial.grid_hi, 1);
+  partial.grid_lo = 3;
+  const Result<PreparedJob> prepared = PrepareJob(partial);
+  ASSERT_FALSE(prepared.ok());
+  EXPECT_EQ(prepared.error().message, "grid: lo 3 exceeds hi 1");
+
+  // Specs built in memory meet the same rows in PrepareJob.
+  CheckJobSpec in_memory = BaseSpec(kLeakyProgram, CheckerKind::kSoundness);
+  in_memory.retries = -7;
+  ASSERT_FALSE(PrepareJob(in_memory).ok());
+  EXPECT_NE(PrepareJob(in_memory).error().message.find("retries"), std::string::npos);
 }
 
 TEST(ManifestTest, BatchReportJsonIsWellFormed) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/mechanism/soundness.h"
 #include "src/policy/policy.h"
 #include "src/tape/tape.h"
@@ -72,6 +74,14 @@ struct TapeCase {
   Observability obs;
   bool expect_sound;
 };
+
+// Names the test case by its parameter ("walk / value-only -> sound")
+// instead of gtest's raw object bytes, whose padding differs from build to
+// build.
+void PrintTo(const TapeCase& c, std::ostream* os) {
+  *os << SeekStrategyName(c.strategy) << " / " << ObservabilityName(c.obs) << " -> "
+      << (c.expect_sound ? "sound" : "unsound");
+}
 
 class TapeSoundnessTest : public ::testing::TestWithParam<TapeCase> {};
 
